@@ -86,15 +86,13 @@ impl Optimizer for Adagrad {
     fn step_dense(&mut self, params: &mut DenseTensor, grad: &DenseTensor) {
         assert_eq!(params.rows(), grad.rows());
         for r in 0..params.rows() {
-            let g = grad.row(r).to_vec();
-            self.update_row(params, r, &g);
+            self.update_row(params, r, grad.row(r));
         }
     }
 
     fn step_sparse(&mut self, params: &mut DenseTensor, grad: &RowSparse, _part: UpdatePart) {
         for (i, &row) in grad.indices().iter().enumerate() {
-            let g = grad.values().row(i).to_vec();
-            self.update_row(params, row as usize, &g);
+            self.update_row(params, row as usize, grad.values().row(i));
         }
     }
 }
@@ -150,20 +148,27 @@ impl Adam {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, m, v, step }
     }
 
-    fn effective_step(&mut self, part: UpdatePart) -> u64 {
-        match part {
+    /// Bias corrections `(1 − β₁ᵗ, 1 − β₂ᵗ)` for the step this `part`
+    /// belongs to; computed once per `step_*` call, not per row.
+    fn bias_corrections(&mut self, part: UpdatePart) -> (f32, f32) {
+        let t = match part {
             UpdatePart::Whole | UpdatePart::Delayed => {
                 self.step += 1;
                 self.step
             }
             // Use the upcoming step's bias correction without committing it.
             UpdatePart::Prior => self.step + 1,
-        }
+        };
+        (1.0 - self.beta1.powi(t as i32), 1.0 - self.beta2.powi(t as i32))
     }
 
-    fn update_row(&mut self, params: &mut DenseTensor, row: usize, grad_row: &[f32], t: u64) {
-        let bc1 = 1.0 - self.beta1.powi(t as i32);
-        let bc2 = 1.0 - self.beta2.powi(t as i32);
+    fn update_row(
+        &mut self,
+        params: &mut DenseTensor,
+        row: usize,
+        grad_row: &[f32],
+        (bc1, bc2): (f32, f32),
+    ) {
         let m = self.m.row_mut(row);
         let v = self.v.row_mut(row);
         let dst = params.row_mut(row);
@@ -180,18 +185,16 @@ impl Adam {
 impl Optimizer for Adam {
     fn step_dense(&mut self, params: &mut DenseTensor, grad: &DenseTensor) {
         assert_eq!(params.rows(), grad.rows());
-        let t = self.effective_step(UpdatePart::Whole);
+        let bc = self.bias_corrections(UpdatePart::Whole);
         for r in 0..params.rows() {
-            let g = grad.row(r).to_vec();
-            self.update_row(params, r, &g, t);
+            self.update_row(params, r, grad.row(r), bc);
         }
     }
 
     fn step_sparse(&mut self, params: &mut DenseTensor, grad: &RowSparse, part: UpdatePart) {
-        let t = self.effective_step(part);
+        let bc = self.bias_corrections(part);
         for (i, &row) in grad.indices().iter().enumerate() {
-            let g = grad.values().row(i).to_vec();
-            self.update_row(params, row as usize, &g, t);
+            self.update_row(params, row as usize, grad.values().row(i), bc);
         }
     }
 }

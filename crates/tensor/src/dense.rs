@@ -425,36 +425,30 @@ mod tests {
 
 impl DenseTensor {
     /// Matrix product `self(n×k) · other(k×m)`.
+    ///
+    /// Each output row is built by [`crate::kernels::scaled_add`] over the
+    /// rows of `other`, so every element is `0.0 + a₀b₀ + a₁b₁ + …` in
+    /// ascending `p` with no FMA — the same sum as the naive triple loop,
+    /// bit for bit.
     pub fn matmul(&self, other: &DenseTensor) -> DenseTensor {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let (n, m) = (self.rows, other.cols);
-        let mut out = DenseTensor::zeros(n, m);
-        for i in 0..n {
-            let ar = self.row(i);
-            let or = out.row_mut(i);
-            for (p, &av) in ar.iter().enumerate() {
-                let br = other.row(p);
-                for (o, &bv) in or.iter_mut().zip(br) {
-                    *o += av * bv;
-                }
-            }
-        }
+        let mut out = DenseTensor::zeros(self.rows, other.cols);
+        axpy_rows(out.as_mut_slice(), &self.data, self.cols, &other.data, other.cols);
         out
     }
 
     /// `selfᵀ(k×n) · other(n×m)` where `self` is `n×k` — the gradient of a
-    /// matmul with respect to its right operand.
+    /// matmul with respect to its right operand. Each element sums in
+    /// ascending `i` (the shared leading index), like [`Self::matmul`].
     pub fn matmul_tn(&self, other: &DenseTensor) -> DenseTensor {
         assert_eq!(self.rows, other.rows, "leading dimensions must agree");
         let (k, m) = (self.cols, other.cols);
         let mut out = DenseTensor::zeros(k, m);
-        for i in 0..self.rows {
-            let ar = self.row(i);
-            let br = other.row(i);
-            for (p, &av) in ar.iter().enumerate() {
-                let or = out.row_mut(p);
-                for (o, &bv) in or.iter_mut().zip(br) {
-                    *o += av * bv;
+        if k > 0 && m > 0 {
+            let out_rows = out.as_mut_slice();
+            for (ar, br) in self.data.chunks_exact(k).zip(other.data.chunks_exact(m)) {
+                for (or, &av) in out_rows.chunks_exact_mut(m).zip(ar) {
+                    crate::kernels::scaled_add(or, av, br);
                 }
             }
         }
@@ -462,24 +456,34 @@ impl DenseTensor {
     }
 
     /// `self(n×k) · otherᵀ(k×m)` where `other` is `m×k` — the gradient of
-    /// a matmul with respect to its left operand.
+    /// a matmul with respect to its left operand. Transposes the (small)
+    /// right operand once, then runs the [`Self::matmul`] loop, so each
+    /// element is the same ascending-`p` sum as a dot product from 0.0.
     pub fn matmul_nt(&self, other: &DenseTensor) -> DenseTensor {
         assert_eq!(self.cols, other.cols, "trailing dimensions must agree");
-        let (n, m, k) = (self.rows, other.rows, self.cols);
-        let mut out = DenseTensor::zeros(n, m);
-        for i in 0..n {
-            let ar = self.row(i);
-            let or = out.row_mut(i);
-            for (j, o) in or.iter_mut().enumerate() {
-                let br = other.row(j);
-                let mut dot = 0.0;
-                for p in 0..k {
-                    dot += ar[p] * br[p];
-                }
-                *o = dot;
+        let (k, m) = (self.cols, other.rows);
+        let mut bt = vec![0.0; k * m];
+        for j in 0..m {
+            for (p, &v) in other.row(j).iter().enumerate() {
+                bt[p * m + j] = v;
             }
         }
+        let mut out = DenseTensor::zeros(self.rows, m);
+        axpy_rows(out.as_mut_slice(), &self.data, k, &bt, m);
         out
+    }
+}
+
+/// `out(n×m) += a(n×k) · b(k×m)` on flat row-major buffers: one
+/// [`crate::kernels::scaled_add`] per `(i, p)`, ascending `p`.
+fn axpy_rows(out: &mut [f32], a: &[f32], k: usize, b: &[f32], m: usize) {
+    if k == 0 || m == 0 {
+        return;
+    }
+    for (or, ar) in out.chunks_exact_mut(m).zip(a.chunks_exact(k)) {
+        for (&av, br) in ar.iter().zip(b.chunks_exact(m)) {
+            crate::kernels::scaled_add(or, av, br);
+        }
     }
 }
 

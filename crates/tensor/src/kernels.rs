@@ -19,6 +19,13 @@
 //! proptests and the `bench_kernels` microbench; production reduce sites
 //! use the lane versions (the `scalar-reduce` lint flags hand-rolled
 //! element-wise `+=` loops in `ops.rs`/`merge.rs`).
+//!
+//! The dense matmul family (`DenseTensor::{matmul, matmul_tn, matmul_nt}`)
+//! is also a [`scaled_add`] consumer: each output row accumulates one axpy
+//! per inner index. The same bitwise rule holds there — every output
+//! element starts at 0.0 and adds its products in ascending inner-index
+//! order, with no FMA — so the products equal the naive triple loop bit
+//! for bit (proptested in `proptests.rs`).
 
 /// Lane width of the explicit-width kernels. Eight f32 lanes fill one
 /// AVX2 register and two NEON registers — wide enough to saturate either,

@@ -12,8 +12,74 @@ fn tensor(rows: usize, cols: usize) -> impl Strategy<Value = DenseTensor> {
         .prop_map(move |data| DenseTensor::from_vec(rows, cols, data))
 }
 
+/// Largest operand side in the matmul-family proptest.
+const MAX_SIDE: usize = 19;
+
+/// Entries with mixed signs and exact (signed) zeros: half the draws are
+/// uniform in `[-100, 100)`, the rest `0.0` or `-0.0`.
+fn mixed_entries(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    let entry = (0u8..4, -100.0f32..100.0).prop_map(|(pick, v)| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        _ => v,
+    });
+    prop::collection::vec(entry, len)
+}
+
+/// The `slot`-th `rows × cols` operand cut from a pool of mixed entries.
+fn operand(pool: &[f32], slot: usize, rows: usize, cols: usize) -> DenseTensor {
+    let start = slot * MAX_SIDE * MAX_SIDE;
+    DenseTensor::from_vec(rows, cols, pool[start..start + rows * cols].to_vec())
+}
+
+/// The naive ordered triple loop, as bit patterns: each `(i, j)` element
+/// starts at 0.0 and adds `term(i, j, p)` for ascending `p`.
+fn naive_bits(
+    rows: usize,
+    cols: usize,
+    inner: usize,
+    term: impl Fn(usize, usize, usize) -> f32,
+) -> Vec<u32> {
+    let mut out = Vec::with_capacity(rows * cols);
+    for i in 0..rows {
+        for j in 0..cols {
+            let mut acc = 0.0f32;
+            for p in 0..inner {
+                acc += term(i, j, p);
+            }
+            out.push(acc.to_bits());
+        }
+    }
+    out
+}
+
+fn bits(t: &DenseTensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn matmul_family_bitwise_matches_naive_ordered_loop(
+        // 0..=19 covers zero sizes and rows that are not a multiple of LANES.
+        n in 0usize..=MAX_SIDE,
+        k in 0usize..=MAX_SIDE,
+        m in 0usize..=MAX_SIDE,
+        pool in mixed_entries(4 * MAX_SIDE * MAX_SIDE),
+    ) {
+        let (a, b) = (operand(&pool, 0, n, k), operand(&pool, 1, k, m));
+        let (c, d) = (operand(&pool, 2, n, m), operand(&pool, 3, m, k));
+        // a(n×k) · b(k×m)
+        let want = naive_bits(n, m, k, |i, j, p| a.row(i)[p] * b.row(p)[j]);
+        prop_assert_eq!(bits(&a.matmul(&b)), want);
+        // aᵀ(k×n) · c(n×m): the shared index runs over a's rows.
+        let want = naive_bits(k, m, n, |p, j, i| a.row(i)[p] * c.row(i)[j]);
+        prop_assert_eq!(bits(&a.matmul_tn(&c)), want);
+        // a(n×k) · dᵀ(k×m) with d m×k.
+        let want = naive_bits(n, m, k, |i, j, p| a.row(i)[p] * d.row(j)[p]);
+        prop_assert_eq!(bits(&a.matmul_nt(&d)), want);
+    }
 
     #[test]
     fn concat_columns_inverts_slicing(t in tensor(4, 9), cut1 in 0usize..9, cut2 in 0usize..9) {

@@ -95,63 +95,6 @@ impl ConvergenceResult {
     }
 }
 
-/// `a(n×k) · b(k×m)`.
-fn matmul(a: &DenseTensor, b: &DenseTensor) -> DenseTensor {
-    assert_eq!(a.cols(), b.rows());
-    let (n, k, m) = (a.rows(), a.cols(), b.cols());
-    let mut out = DenseTensor::zeros(n, m);
-    for i in 0..n {
-        let ar = a.row(i);
-        let or = out.row_mut(i);
-        for (p, &av) in ar.iter().enumerate() {
-            let br = b.row(p);
-            for j in 0..m {
-                or[j] += av * br[j];
-            }
-        }
-        let _ = k;
-    }
-    out
-}
-
-/// `aᵀ(k×n) · b(n×m)` where `a` is `n×k`.
-fn matmul_tn(a: &DenseTensor, b: &DenseTensor) -> DenseTensor {
-    assert_eq!(a.rows(), b.rows());
-    let (n, k, m) = (a.rows(), a.cols(), b.cols());
-    let mut out = DenseTensor::zeros(k, m);
-    for i in 0..n {
-        let ar = a.row(i);
-        let br = b.row(i);
-        for (p, &av) in ar.iter().enumerate().take(k) {
-            let or = out.row_mut(p);
-            for (o, &bv) in or.iter_mut().zip(br).take(m) {
-                *o += av * bv;
-            }
-        }
-    }
-    out
-}
-
-/// `a(n×k) · bᵀ(k×m)` where `b` is `m×k`.
-fn matmul_nt(a: &DenseTensor, b: &DenseTensor) -> DenseTensor {
-    assert_eq!(a.cols(), b.cols());
-    let (n, k, m) = (a.rows(), a.cols(), b.rows());
-    let mut out = DenseTensor::zeros(n, m);
-    for i in 0..n {
-        let ar = a.row(i);
-        let or = out.row_mut(i);
-        for (j, o) in or.iter_mut().enumerate().take(m) {
-            let br = b.row(j);
-            let mut dot = 0.0;
-            for p in 0..k {
-                dot += ar[p] * br[p];
-            }
-            *o = dot;
-        }
-    }
-    out
-}
-
 /// Shared deterministic initial state: embedding, projection, targets.
 pub(crate) fn init_toy_state(cfg: &ConvergenceConfig) -> (DenseTensor, DenseTensor, DenseTensor) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -170,9 +113,8 @@ pub(crate) fn fwd_bwd_toy(
     w: &DenseTensor,
     targets: &DenseTensor,
 ) -> (f64, DenseTensor, DenseTensor) {
-    let pred = matmul(lookup, w);
-    // Residuals and loss.
-    let mut resid = pred.clone();
+    // Residuals and loss: the prediction becomes the residual in place.
+    let mut resid = lookup.matmul(w);
     for (i, &t) in tokens.iter().enumerate() {
         let ty = targets.row(t as usize);
         let rr = resid.row_mut(i);
@@ -181,18 +123,17 @@ pub(crate) fn fwd_bwd_toy(
         }
     }
     let loss = 0.5 * resid.norm_sq() as f64;
-    let grad_w = matmul_tn(lookup, &resid);
-    let grad_emb = matmul_nt(&resid, w);
+    let grad_w = lookup.matmul_tn(&resid);
+    let grad_emb = resid.matmul_nt(w);
     (loss, grad_w, grad_emb)
 }
 
 /// Sum each worker's scalar loss across the group.
 fn global_loss(ep: &mut Endpoint, local: f64) -> f64 {
-    let mut buf = DenseTensor::from_vec(1, 1, vec![local as f32]);
+    let buf = DenseTensor::from_vec(1, 1, vec![local as f32]);
     // Cheap exactness: gather all values and sum in rank order so every
     // rank computes the identical f64 total.
-    let all = embrace_collectives::ops::allgather_dense(ep, buf.clone());
-    buf.fill_zero();
+    let all = embrace_collectives::ops::allgather_dense(ep, buf);
     all.iter().map(|t| t.as_slice()[0] as f64).sum()
 }
 
