@@ -34,16 +34,6 @@
 //! if any schedule gets stuck, the greedy one does — so its verdict is
 //! the enumeration verdict, and tests assert it matches the graph verdict
 //! on every plan family and every seeded [`crate::verify::PlanMutation`].
-//!
-//! **Credit mode** ([`WaitGraph::build_with_credits`],
-//! [`analyze_p2p_credits`], [`enumerate_p2p_credits`]) models the
-//! one-sided slot transport's flow control on top of all of the above:
-//! send `#k` on a link additionally waits on receive `#(k−C)` of the same
-//! link, i.e. the sender stalls when all `C` registered slots are armed.
-//! Acyclicity under credit edges proves the credit protocol deadlock-free
-//! at worlds far past enumeration — even for a strictly blocking put,
-//! which the shipped transport's counted rendezvous fallback is strictly
-//! safer than.
 
 use crate::plan::{P2pOp, P2pPlan};
 use crate::verify::{sort_diagnostics, Diagnostic, DiagnosticKind};
@@ -69,19 +59,6 @@ impl WaitGraph {
     /// Build the wait-for graph of `plan`: program-order edges plus one
     /// dependency edge per FIFO-matched (send, recv) pair.
     pub fn build(plan: &P2pPlan) -> WaitGraph {
-        WaitGraph::build_with_credits(plan, None)
-    }
-
-    /// [`WaitGraph::build`] with the slot transport's credit protocol
-    /// modeled explicitly: with `credit = Some(C)`, send `#k` on an
-    /// ordered link additionally waits on receive `#(k−C)` of the same
-    /// link (for `k ≥ C`) — the sender may not reuse a slot until the
-    /// receiver has consumed the message `C` sequence numbers back.
-    /// Acyclicity of this graph proves the protocol deadlock-free even
-    /// for a *strictly blocking* put with a `C`-slot pool; the shipped
-    /// transport is safer still (an out-of-credit put falls back to a
-    /// counted, non-blocking rendezvous).
-    pub fn build_with_credits(plan: &P2pPlan, credit: Option<usize>) -> WaitGraph {
         let total: usize = plan.ranks.iter().map(Vec::len).sum();
         let mut base = Vec::with_capacity(plan.world + 1);
         let mut acc = 0u32;
@@ -123,18 +100,8 @@ impl WaitGraph {
             }
         }
         let mut matched: Vec<(u32, u32)> = Vec::new(); // (recv node, send node)
-                                                       // (send node, recv node) credit edges: send #k waits on recv #(k−C).
-        let mut credit_edges: Vec<(u32, u32)> = Vec::new();
         for (&(from, to), (sends, recvs)) in &links {
             let link = || format!("{}:{from}->{to}", plan.kind);
-            if let Some(cap) = credit {
-                for (k, (snode, _)) in sends.iter().enumerate().skip(cap) {
-                    if let Some((rnode, _)) = recvs.get(k - cap) {
-                        credit_edges.push((*snode, *rnode));
-                        deg[*snode as usize] += 1;
-                    }
-                }
-            }
             for (k, ((snode, sbytes), (rnode, rbytes))) in sends.iter().zip(recvs).enumerate() {
                 matched.push((*rnode, *snode));
                 deg[*rnode as usize] += 1;
@@ -186,10 +153,6 @@ impl WaitGraph {
         for (rnode, snode) in matched {
             adj[cursor[rnode as usize] as usize] = snode;
             cursor[rnode as usize] += 1;
-        }
-        for (snode, rnode) in credit_edges {
-            adj[cursor[snode as usize] as usize] = rnode;
-            cursor[snode as usize] += 1;
         }
         WaitGraph { ranks, ops, adj_off, adj, pairing }
     }
@@ -317,19 +280,7 @@ pub fn byte_conservation(plan: &P2pPlan) -> Result<u64, Diagnostic> {
 /// and whole-round byte conservation. An empty result proves the plan
 /// deadlock-free and byte-conserving in every interleaving, in O(ops).
 pub fn analyze_p2p(plan: &P2pPlan) -> Vec<Diagnostic> {
-    analyze_graph(plan, WaitGraph::build(plan))
-}
-
-/// [`analyze_p2p`] over the credit-augmented graph
-/// ([`WaitGraph::build_with_credits`]): an empty result proves the plan
-/// deadlock-free even under a strictly blocking `capacity`-slot one-sided
-/// transport — the structural half of the slot transport's safety
-/// argument at worlds past enumeration.
-pub fn analyze_p2p_credits(plan: &P2pPlan, capacity: usize) -> Vec<Diagnostic> {
-    analyze_graph(plan, WaitGraph::build_with_credits(plan, Some(capacity)))
-}
-
-fn analyze_graph(plan: &P2pPlan, g: WaitGraph) -> Vec<Diagnostic> {
+    let g = WaitGraph::build(plan);
     let mut out = g.pairing.clone();
     for scc in g.cycles() {
         let cycle = g.concrete_cycle(&scc);
@@ -397,21 +348,6 @@ impl ExecReport {
 /// another rank's receive, so one greedy schedule suffices to decide
 /// whether *any* schedule completes.
 pub fn enumerate_p2p(plan: &P2pPlan) -> ExecReport {
-    enumerate_bounded(plan, None)
-}
-
-/// [`enumerate_p2p`] under a strictly blocking `capacity`-deep link (a
-/// send blocks while its link already holds `capacity` undelivered
-/// messages) — the executable counterpart of
-/// [`WaitGraph::build_with_credits`]. Confluence still holds: each link
-/// has one sender and one receiver, and completing any op only ever
-/// *enables* others (a receive returns a credit, a send arms a slot), so
-/// the greedy schedule's verdict is the enumeration verdict.
-pub fn enumerate_p2p_credits(plan: &P2pPlan, capacity: usize) -> ExecReport {
-    enumerate_bounded(plan, Some(capacity as u64))
-}
-
-fn enumerate_bounded(plan: &P2pPlan, capacity: Option<u64>) -> ExecReport {
     let w = plan.world;
     let mut pc = vec![0usize; w];
     let mut queued = vec![0u64; w * w]; // queued[from * w + to]
@@ -421,13 +357,7 @@ fn enumerate_bounded(plan: &P2pPlan, capacity: Option<u64>) -> ExecReport {
         for r in 0..w {
             while pc[r] < plan.ranks[r].len() {
                 match plan.ranks[r][pc[r]] {
-                    P2pOp::Send { to, .. } => {
-                        let q = &mut queued[r * w + to];
-                        if capacity.is_some_and(|cap| *q >= cap) {
-                            break; // out of credits: wait for the receiver
-                        }
-                        *q += 1;
-                    }
+                    P2pOp::Send { to, .. } => queued[r * w + to] += 1,
                     P2pOp::Recv { from, .. } => {
                         let q = &mut queued[from * w + r];
                         if *q == 0 {
@@ -479,77 +409,6 @@ mod tests {
                 let diags = analyze_p2p(&plan);
                 assert!(diags.is_empty(), "{} w={world}: {diags:?}", plan.kind);
                 assert!(enumerate_p2p(&plan).deadlock_free(), "{} w={world}", plan.kind);
-            }
-        }
-    }
-
-    #[test]
-    fn every_plan_family_survives_slot_credit_edges() {
-        // The credit protocol at the shipped capacity: no plan family
-        // deadlocks even if a put blocked when all slots were armed.
-        let cap = embrace_collectives::SLOT_CAPACITY;
-        for world in [1usize, 2, 3, 4, 8, 16] {
-            for plan in family_plans(world) {
-                let diags = analyze_p2p_credits(&plan, cap);
-                assert!(diags.is_empty(), "{} w={world} cap={cap}: {diags:?}", plan.kind);
-                assert!(
-                    enumerate_p2p_credits(&plan, cap).deadlock_free(),
-                    "{} w={world} cap={cap}",
-                    plan.kind
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn deep_pipelining_deadlocks_a_strictly_blocking_pool() {
-        // The pipelined ring posts every segment of a step before
-        // receiving any (`try_ring_allreduce_pipelined`): each rank sends
-        // S segments to its successor, then drains S from its
-        // predecessor. With fewer credits than segments a *blocking* put
-        // would deadlock the whole ring — exactly why the slot
-        // transport's overflow path falls back to a non-blocking
-        // (counted) rendezvous instead. Both verdicts must spot it.
-        let world = 4;
-        let segments = 24usize;
-        let mut plan =
-            P2pPlan { kind: "ring_pipelined_step", world, ranks: vec![Vec::new(); world] };
-        for r in 0..world {
-            for _ in 0..segments {
-                plan.ranks[r].push(P2pOp::Send { to: (r + 1) % world, bytes: 8 });
-            }
-            for _ in 0..segments {
-                plan.ranks[r].push(P2pOp::Recv { from: (r + world - 1) % world, bytes: 8 });
-            }
-        }
-        assert!(analyze_p2p(&plan).is_empty(), "unbounded links are fine");
-        for cap in [1usize, 4, segments - 1] {
-            let diags = analyze_p2p_credits(&plan, cap);
-            assert!(graph_deadlocks(&diags), "cap={cap}: expected a credit cycle");
-            assert!(!enumerate_p2p_credits(&plan, cap).deadlock_free(), "cap={cap}");
-        }
-        // A pool deep enough for every posted segment restores cleanliness.
-        assert!(analyze_p2p_credits(&plan, segments).is_empty());
-        assert!(enumerate_p2p_credits(&plan, segments).deadlock_free());
-        // The *scheduler's* chunked ring interleaves unit sends with unit
-        // receives, so it stays within even a tiny credit line.
-        let chunked = chunked_ring_allreduce_plan(4, 64, 1);
-        assert!(analyze_p2p_credits(&chunked, 2).is_empty());
-    }
-
-    #[test]
-    fn credit_verdict_agrees_with_bounded_enumeration_across_capacities() {
-        for world in [2usize, 3, 4, 8] {
-            for plan in family_plans(world) {
-                for cap in [1usize, 2, embrace_collectives::SLOT_CAPACITY] {
-                    let graph_dead = graph_deadlocks(&analyze_p2p_credits(&plan, cap));
-                    let exec_dead = !enumerate_p2p_credits(&plan, cap).deadlock_free();
-                    assert_eq!(
-                        graph_dead, exec_dead,
-                        "{} w={world} cap={cap}: graph vs enumeration disagree",
-                        plan.kind
-                    );
-                }
             }
         }
     }

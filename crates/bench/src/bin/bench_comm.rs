@@ -8,11 +8,8 @@
 //! bench_comm --compare before after # speedup table from the stored file
 //! ```
 //!
-//! All timed groups run over the **one-sided slot transport**
-//! (`slot_mesh`): pre-registered slot pools with sequence-stamped
-//! headers, so steady-state collectives move payload only — the
-//! two-sided channel rendezvous they replace is what the `before`
-//! trajectory labels measured.
+//! All timed groups run through `run_group` over the channel mesh, the
+//! same transport the trainer and the embedding service use.
 //!
 //! Each invocation times every (op × world × payload) cell, then merges
 //! the run into the output JSON under its `--label` (replacing a previous
@@ -45,12 +42,12 @@
 //! bandwidth.
 
 use embrace_bench::record::{compare, fmt_run, merge_into_file, Entry, Mode};
-use embrace_collectives::group::run_group_on;
 use embrace_collectives::ops::{
     allgather_dense, allgather_sparse, alltoallv_sparse, broadcast, ring_allreduce,
-    ring_allreduce_pipelined, sparse_allreduce, SsarConfig,
+    sparse_allreduce, SsarConfig,
 };
-use embrace_collectives::transport::{slot_mesh, Packet};
+use embrace_collectives::run_group;
+use embrace_collectives::transport::{mesh, Packet};
 use embrace_obs::json;
 use embrace_tensor::{
     coalesce, merge_rowsparse, row_partition, DenseTensor, RowSparse, F32_BYTES, INDEX_BYTES,
@@ -62,20 +59,17 @@ const QUICK_BYTES: [usize; 2] = [64 << 10, 4 << 20];
 const FULL_BYTES: [usize; 5] = [1 << 10, 64 << 10, 1 << 20, 4 << 20, 16 << 20];
 /// Column width used to shape sparse payloads (embedding-dim scale).
 const SPARSE_DIM: usize = 64;
-/// Segment size (elements) for the pipelined ring variant.
-const PIPELINE_SEG: usize = 64 << 10;
 
 /// Time `f` (already holding its inputs) over `iters` iterations inside a
 /// running group; returns the slowest rank's per-iteration nanoseconds.
 /// Every rank runs the same closure, so the max over ranks is the
-/// completion time of the collective, not one rank's early exit. The
-/// group runs over the one-sided slot mesh.
+/// completion time of the collective, not one rank's early exit.
 fn time_group<F>(world: usize, iters: u64, f: F) -> u64
 where
     F: Fn(usize, &mut embrace_collectives::transport::Endpoint) + Sync,
 {
-    let per_rank_ns = run_group_on(slot_mesh(world), |rank, ep| {
-        // Warm-up: populate slot pools and fault-free fast paths.
+    let per_rank_ns = run_group(world, |rank, ep| {
+        // Warm-up: first-touch allocations and fault-free fast paths.
         f(rank, ep);
         embrace_collectives::ops::barrier(ep);
         let t0 = Instant::now();
@@ -121,11 +115,6 @@ fn bench_cell(op: &'static str, world: usize, bytes: usize, mode: Mode) -> Entry
         "ring_allreduce" => time_group(world, iters, |_r, ep| {
             let mut buf = vec![1.0f32; elems];
             ring_allreduce(ep, &mut buf);
-            std::hint::black_box(&buf);
-        }),
-        "ring_allreduce_pipelined" => time_group(world, iters, |_r, ep| {
-            let mut buf = vec![1.0f32; elems];
-            ring_allreduce_pipelined(ep, &mut buf, PIPELINE_SEG);
             std::hint::black_box(&buf);
         }),
         "allgather_dense" => {
@@ -250,13 +239,7 @@ fn run_sweep(mode: Mode) -> Vec<Entry> {
         Mode::Quick => &QUICK_BYTES,
         Mode::Full => &FULL_BYTES,
     };
-    let ops = [
-        "ring_allreduce",
-        "ring_allreduce_pipelined",
-        "allgather_dense",
-        "alltoallv_sparse",
-        "broadcast_dense",
-    ];
+    let ops = ["ring_allreduce", "allgather_dense", "alltoallv_sparse", "broadcast_dense"];
     let mut entries = Vec::new();
     for &op in &ops {
         for &world in &WORLDS {
@@ -289,7 +272,7 @@ const HOL_GATHER_TOKENS: usize = 64;
 
 fn bench_hol(chunk: Option<usize>) -> Entry {
     use embrace_collectives::{CommOp, CommResult, CommScheduler};
-    let endpoints = slot_mesh(HOL_WORLD);
+    let endpoints = mesh(HOL_WORLD);
     let mut waits: Vec<f64> = Vec::new();
     let mut min_bulk_chunks = u32::MAX;
     std::thread::scope(|scope| {
@@ -448,7 +431,7 @@ fn main() {
         }
         return;
     }
-    println!("bench_comm: label={label} mode={} transport=slot", mode.as_str());
+    println!("bench_comm: label={label} mode={}", mode.as_str());
     let mut entries = run_sweep(mode);
     entries.extend(run_density_sweep(mode));
     entries.extend(run_hol());

@@ -7,20 +7,15 @@
 //!
 //! `--large [--quick] [--out FILE]` switches to the wait-for-graph sweep:
 //! every plan family at worlds 64–1024 (64/256 with `--quick`), proving
-//! deadlock-freedom and byte conservation structurally — in both the
-//! unbounded (channel) mode and the credit mode that models the
-//! one-sided slot transport's `SLOT_CAPACITY`-deep pools — and printing
-//! a per-plan timing table (written to `FILE` for CI artifacts).
+//! deadlock-freedom and byte conservation structurally, and printing a
+//! per-plan timing table (written to `FILE` for CI artifacts).
 //!
 //! Exits non-zero (returns `Err`) if any valid plan produces a
 //! diagnostic, any seeded mutation goes undetected, any verdict pair
 //! disagrees, or the model checker finds a deadlock or a
 //! non-deterministic interleaving.
 
-use embrace_analyzer::graph::{
-    analyze_p2p, analyze_p2p_credits, byte_conservation, enumerate_p2p, enumerate_p2p_credits,
-    graph_deadlocks,
-};
+use embrace_analyzer::graph::{analyze_p2p, byte_conservation, enumerate_p2p, graph_deadlocks};
 use embrace_analyzer::model_check::{check, CheckConfig, Collective};
 use embrace_analyzer::plan::{
     allgather_plan, alltoall_plan, barrier_plan, broadcast_plan, chunked_alltoall_plan,
@@ -33,7 +28,6 @@ use embrace_analyzer::{
     verify_horizontal, verify_p2p, verify_partition, verify_schedule, Diagnostic, DiagnosticKind,
     PlanMutation,
 };
-use embrace_collectives::SLOT_CAPACITY;
 use embrace_core::horizontal::Priorities;
 use embrace_models::{ModelId, ModelSpec};
 use embrace_simnet::GpuKind;
@@ -202,12 +196,8 @@ fn demo_mutations() -> Result<(), String> {
 
 /// Exhaustively model-check the six collectives plus the four chunked /
 /// preempted programs for worlds 2–4, plus abort termination with a
-/// crashed rank 0. Every fault-free run must also stay within
-/// `SLOT_CAPACITY` in-flight messages per link over all reachable
-/// states, proving the one-sided transport's rendezvous fallback is
-/// unreachable in steady state.
+/// crashed rank 0.
 fn model_check_all() -> Result<(), String> {
-    let mut deepest = 0usize;
     for world in CHECK_WORLDS {
         for c in Collective::all(world).into_iter().chain(Collective::chunked(world)) {
             let r = check(&CheckConfig { world, collective: c, crash: None });
@@ -215,24 +205,12 @@ fn model_check_all() -> Result<(), String> {
             if !r.deterministic_success() {
                 return Err(format!("model check failed: {}", r.summary()));
             }
-            if r.max_link_in_flight > SLOT_CAPACITY {
-                return Err(format!(
-                    "link depth {} exceeds SLOT_CAPACITY {SLOT_CAPACITY}: {}",
-                    r.max_link_in_flight,
-                    r.summary()
-                ));
-            }
-            deepest = deepest.max(r.max_link_in_flight);
             let f = check(&CheckConfig { world, collective: c, crash: Some(0) });
             if !f.deadlock_free() {
                 return Err(format!("abort does not terminate: {}", f.summary()));
             }
         }
     }
-    println!(
-        "  max in-flight per link over all reachable states: {deepest} <= SLOT_CAPACITY \
-         {SLOT_CAPACITY} (slot rendezvous fallback unreachable)"
-    );
     Ok(())
 }
 
@@ -329,21 +307,6 @@ fn graph_agreement() -> Result<(), String> {
             if !diags.is_empty() || !exec.deadlock_free() {
                 return Err(format!("w={world} {}: valid plan not clean: {diags:?}", plan0.kind));
             }
-            // The same plan must stay deadlock-free when every link is a
-            // SLOT_CAPACITY-deep pool whose put blocks on credit
-            // exhaustion — the worst case for the one-sided transport
-            // (the real pool falls back to counted rendezvous instead).
-            let cdiags = analyze_p2p_credits(&plan0, SLOT_CAPACITY);
-            let cexec = enumerate_p2p_credits(&plan0, SLOT_CAPACITY);
-            if graph_deadlocks(&cdiags) || !cexec.deadlock_free() {
-                return Err(format!(
-                    "w={world} {}: plan deadlocks under {SLOT_CAPACITY}-credit links \
-                     (graph={}, exec={})",
-                    plan0.kind,
-                    graph_deadlocks(&cdiags),
-                    !cexec.deadlock_free()
-                ));
-            }
             for rank in 0..world {
                 for (label, m) in [
                     ("drop-send", PlanMutation::DropSend { rank, index: 0 }),
@@ -376,8 +339,7 @@ fn graph_agreement() -> Result<(), String> {
         }
         println!(
             "  w={world}: graph == model checker on {modeled_count} modeled plans, graph == \
-             enumeration on {mutations} seeded mutations, every family clean under \
-             {SLOT_CAPACITY}-credit links"
+             enumeration on {mutations} seeded mutations"
         );
     }
     Ok(())
@@ -389,8 +351,8 @@ fn large_sweep(quick: bool, out: Option<&str>) -> Result<(), String> {
     let worlds: &[usize] = if quick { &QUICK_WORLDS } else { &LARGE_WORLDS };
     let mut table = String::new();
     table.push_str(&format!(
-        "{:<24} {:>6} {:>10} {:>12} {:>10} {:>10} {:>10}\n",
-        "plan", "world", "ops", "bytes", "graph_ms", "credit_ms", "exec_ms"
+        "{:<24} {:>6} {:>10} {:>12} {:>10} {:>10}\n",
+        "plan", "world", "ops", "bytes", "graph_ms", "exec_ms"
     ));
     let t0 = Instant::now();
     for &world in worlds {
@@ -409,19 +371,6 @@ fn large_sweep(quick: bool, out: Option<&str>) -> Result<(), String> {
                 ));
             }
             let bytes = byte_conservation(&plan).map_err(|d| format!("{d}"))?;
-            // Credit mode: the same wait-for graph plus the slot
-            // transport's send#k -> recv#(k - SLOT_CAPACITY) back-edges
-            // must stay acyclic, proving a strictly blocking
-            // SLOT_CAPACITY-deep pool cannot deadlock these plans.
-            let tc = Instant::now();
-            let cdiags = analyze_p2p_credits(&plan, SLOT_CAPACITY);
-            let credit_ms = tc.elapsed().as_secs_f64() * 1e3;
-            if graph_deadlocks(&cdiags) {
-                return Err(format!(
-                    "{} w={world}: deadlocks under {SLOT_CAPACITY}-credit links",
-                    plan.kind
-                ));
-            }
             let te = Instant::now();
             let exec = enumerate_p2p(&plan);
             let exec_ms = te.elapsed().as_secs_f64() * 1e3;
@@ -432,16 +381,16 @@ fn large_sweep(quick: bool, out: Option<&str>) -> Result<(), String> {
                 ));
             }
             table.push_str(&format!(
-                "{:<24} {:>6} {:>10} {:>12} {:>10.1} {:>10.1} {:>10.1}\n",
-                plan.kind, world, ops, bytes, graph_ms, credit_ms, exec_ms
+                "{:<24} {:>6} {:>10} {:>12} {:>10.1} {:>10.1}\n",
+                plan.kind, world, ops, bytes, graph_ms, exec_ms
             ));
         }
     }
     let total_s = t0.elapsed().as_secs_f64();
     print!("{table}");
     println!(
-        "verify-plan --large: {} plan families x worlds {worlds:?} deadlock-free (unbounded and \
-         {SLOT_CAPACITY}-credit links) and byte-conserving in {total_s:.1} s",
+        "verify-plan --large: {} plan families x worlds {worlds:?} deadlock-free and \
+         byte-conserving in {total_s:.1} s",
         plan_families(2).len()
     );
     if let Some(path) = out {

@@ -48,11 +48,9 @@ where
     run_group_on(mesh_with_faults(world, plan, deadline), f)
 }
 
-/// [`run_group`] over an explicit, already-constructed mesh — the hook for
-/// running the same rank closure over alternative transports (e.g.
-/// [`crate::transport::slot_mesh`]). Results come back in rank order;
-/// panics in any worker propagate.
-pub fn run_group_on<R, F>(endpoints: Vec<Endpoint>, f: F) -> Vec<R>
+/// Run `f` on one scoped thread per endpoint of an already-constructed
+/// mesh. Results come back in rank order; panics in any worker propagate.
+fn run_group_on<R, F>(endpoints: Vec<Endpoint>, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize, &mut Endpoint) -> R + Sync,

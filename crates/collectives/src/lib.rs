@@ -48,14 +48,12 @@ pub mod scheduler;
 pub mod transport;
 
 pub use elastic::{ElasticError, ElasticWorker, ReformOutcome};
-pub use group::{
-    run_group, run_group_on, run_group_with_deadline, run_group_with_faults, GroupError,
-};
+pub use group::{run_group, run_group_with_deadline, run_group_with_faults, GroupError};
 pub use scheduler::{
     scheduler_metrics, CommOp, CommResult, CommScheduler, OpTiming, SubmittedOp, Ticket,
     DEFAULT_CHUNK_BYTES,
 };
 pub use transport::{
-    mesh, mesh_with_faults, slot_mesh, slot_mesh_with_faults, Comm, CommError, Endpoint, FaultPlan,
-    Packet, ReformMsg, RetryPolicy, SegBody, SparseSeg, SEG_HEADER_BYTES, SLOT_CAPACITY,
+    mesh, mesh_with_faults, Comm, CommError, Endpoint, FaultPlan, Packet, ReformMsg, RetryPolicy,
+    SegBody, SparseSeg, SEG_HEADER_BYTES,
 };

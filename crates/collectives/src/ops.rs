@@ -219,84 +219,6 @@ pub fn try_ring_allreduce<C: Comm>(ep: &mut C, buf: &mut [f32]) -> Result<(), Co
     Ok(())
 }
 
-/// [`ring_allreduce`] with the reduce-scatter and all-gather phases
-/// segmented for pipelining; panics on communication failure.
-pub fn ring_allreduce_pipelined<C: Comm>(ep: &mut C, buf: &mut [f32], seg_elems: usize) {
-    finish(try_ring_allreduce_pipelined(ep, buf, seg_elems));
-}
-
-/// Fallible segmented/pipelined ring AllReduce for large buffers: each of
-/// the 2·(N−1) ring steps splits its chunk into `seg_elems`-element
-/// segments and posts *all* of them before receiving any, so (sends being
-/// non-blocking) the reduction of segment k on this rank overlaps the
-/// transfer of segments k+1… from its neighbour, instead of serialising a
-/// full-chunk transfer against a full-chunk reduction.
-///
-/// Bitwise-identical to [`try_ring_allreduce`]: the reduction applies the
-/// same `dst[i] += src[i]` operations in the same element order, only the
-/// wire framing differs (several small packets per step instead of one —
-/// empty chunks send zero packets). Staging buffers come from a small
-/// pool that is refilled with received segments, so steady-state steps
-/// allocate nothing. On `Err` the contents of `buf` are unspecified.
-pub fn try_ring_allreduce_pipelined<C: Comm>(
-    ep: &mut C,
-    buf: &mut [f32],
-    seg_elems: usize,
-) -> Result<(), CommError> {
-    assert!(seg_elems > 0, "segment size must be positive");
-    let _span = recorder::span("ring_allreduce_pipelined", "collective");
-    let world = ep.world();
-    let rank = ep.rank();
-    if world == 1 {
-        return Ok(());
-    }
-    let chunks = row_partition(buf.len(), world);
-    let next = (rank + 1) % world;
-    let prev = (rank + world - 1) % world;
-    let max_chunk = chunks.iter().map(|c| c.end - c.start).max().unwrap_or(0);
-    let pool_size = max_chunk.div_ceil(seg_elems).max(1);
-    let mut pool: Vec<DenseTensor> =
-        (0..pool_size).map(|_| DenseTensor::zeros(1, seg_elems.min(max_chunk))).collect();
-
-    for phase in 0..2 {
-        for step in 0..world - 1 {
-            let (send_c, recv_c) = if phase == 0 {
-                ((rank + world - step) % world, (rank + world - step - 1) % world)
-            } else {
-                ((rank + 1 + world - step) % world, (rank + world - step) % world)
-            };
-            let send = chunks[send_c];
-            for seg_start in (send.start..send.end).step_by(seg_elems) {
-                let seg_end = (seg_start + seg_elems).min(send.end);
-                // Chunk sizes differ by at most one element across ranks,
-                // so the pool can transiently run dry at a segment
-                // boundary; the replacement grows on first use (counted).
-                let mut staging = pool.pop().unwrap_or_else(|| DenseTensor::zeros(0, 0));
-                staging.stage_row(&buf[seg_start..seg_end]);
-                if let Err(e) = ep.try_send(next, Packet::Dense(staging)) {
-                    return fail(ep, e);
-                }
-            }
-            let recv = chunks[recv_c];
-            for seg_start in (recv.start..recv.end).step_by(seg_elems) {
-                let seg_end = (seg_start + seg_elems).min(recv.end);
-                let incoming = match ep.try_recv(prev).and_then(Packet::try_into_dense) {
-                    Ok(d) => d,
-                    Err(e) => return fail(ep, e),
-                };
-                let dst = &mut buf[seg_start..seg_end];
-                if phase == 0 {
-                    kernels::add_assign(dst, incoming.as_slice());
-                } else {
-                    dst.copy_from_slice(incoming.as_slice());
-                }
-                pool.push(incoming);
-            }
-        }
-    }
-    Ok(())
-}
-
 /// AllGather of per-rank dense tensors; returns all ranks' tensors in rank
 /// order (own tensor included).
 pub fn allgather_dense<C: Comm>(ep: &mut C, local: DenseTensor) -> Vec<DenseTensor> {
@@ -923,52 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_ring_matches_unsegmented_bitwise() {
-        for world in [2, 3, 4, 5] {
-            for len in [0, 1, 7, 64, 257] {
-                for seg in [1, 3, 16, 1024] {
-                    let mk = move |rank: usize| -> Vec<f32> {
-                        (0..len).map(|i| ((rank * 31 + i) as f32).sin()).collect()
-                    };
-                    let plain = run_group(world, move |rank, ep| {
-                        let mut buf = mk(rank);
-                        ring_allreduce(ep, &mut buf);
-                        buf
-                    });
-                    let piped = run_group(world, move |rank, ep| {
-                        let mut buf = mk(rank);
-                        ring_allreduce_pipelined(ep, &mut buf, seg);
-                        buf
-                    });
-                    // Bitwise, not approximate: identical add order.
-                    for (p, q) in plain.iter().zip(&piped) {
-                        let pb: Vec<u32> = p.iter().map(|x| x.to_bits()).collect();
-                        let qb: Vec<u32> = q.iter().map(|x| x.to_bits()).collect();
-                        assert_eq!(pb, qb, "world={world} len={len} seg={seg}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_ring_steady_state_reuses_pool() {
-        let out = run_group(4, |rank, ep| {
-            let mut buf = vec![rank as f32; 4096];
-            ring_allreduce_pipelined(ep, &mut buf, 256); // warm-up
-            barrier(ep);
-            embrace_tensor::alloc_counter::reset();
-            ring_allreduce_pipelined(ep, &mut buf, 256);
-            embrace_tensor::alloc_counter::events()
-        });
-        // Per call: the pool (⌈1024/256⌉ = 4 buffers) is allocated once;
-        // no per-step or per-segment allocations on top.
-        for events in out {
-            assert!(events <= 5, "pool should be the only allocation, saw {events} events");
-        }
-    }
-
-    #[test]
     fn allgather_fanout_sends_share_storage() {
         // world-1 sends of a 1 MiB-scale tensor must copy zero payload
         // bytes: each link's packet shares the caller's buffer.
@@ -1083,128 +959,6 @@ mod tests {
         assert_eq!(buf, &vec![1.0, 2.0]);
         assert_eq!(g[0].as_slice(), &[5.0]);
         assert_eq!(a[0].as_slice(), &[9.0]);
-    }
-
-    mod slot_transport {
-        use super::*;
-        use crate::group::run_group_on;
-        use crate::transport::slot_mesh;
-
-        /// The tentpole claim: steady-state ring and sparse allreduce over
-        /// the one-sided transport move *only payload* — zero control
-        /// round-trips on every rank, while the same traffic over channels
-        /// pays one rendezvous per message.
-        #[test]
-        fn steady_state_collectives_pay_zero_control_msgs() {
-            for world in [2, 4, 8] {
-                let out = run_group_on(slot_mesh(world), move |rank, ep| {
-                    let mut buf: Vec<f32> = (0..257).map(|i| (rank * 31 + i) as f32).collect();
-                    for _ in 0..3 {
-                        ring_allreduce(ep, &mut buf);
-                    }
-                    let g = RowSparse::new(
-                        vec![rank as u32, world as u32 + 3],
-                        DenseTensor::full(2, 4, rank as f32 + 0.5),
-                    );
-                    let _ = sparse_allreduce(ep, &g, &SsarConfig { vocab: 64, crossover: 0.5 });
-                    (ep.control_msgs(), ep.msgs_sent())
-                });
-                for (rank, (control, sent)) in out.into_iter().enumerate() {
-                    assert!(sent > 0, "world={world} rank={rank} sent nothing");
-                    assert_eq!(
-                        control, 0,
-                        "world={world} rank={rank}: steady state must be pure payload"
-                    );
-                }
-            }
-        }
-
-        /// Slot and channel transports are interchangeable: bitwise-equal
-        /// ring results, identical message/byte counters.
-        #[test]
-        fn ring_allreduce_matches_channel_transport_bitwise() {
-            for world in [2, 3, 5] {
-                let mk = move |rank: usize| -> Vec<f32> {
-                    (0..97).map(|i| ((rank * 31 + i) as f32).sin()).collect()
-                };
-                let over_channels = run_group(world, move |rank, ep| {
-                    let mut buf = mk(rank);
-                    ring_allreduce(ep, &mut buf);
-                    (buf, ep.msgs_sent(), ep.bytes_sent())
-                });
-                let over_slots = run_group_on(slot_mesh(world), move |rank, ep| {
-                    let mut buf = mk(rank);
-                    ring_allreduce(ep, &mut buf);
-                    (buf, ep.msgs_sent(), ep.bytes_sent())
-                });
-                for (rank, (ch, sl)) in over_channels.iter().zip(&over_slots).enumerate() {
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&ch.0), bits(&sl.0), "world={world} rank={rank}");
-                    assert_eq!((ch.1, ch.2), (sl.1, sl.2), "world={world} rank={rank}");
-                }
-            }
-        }
-
-        /// Pipelined ring over slots: deep in-flight windows may overflow
-        /// the slot pool, but every overflow is *counted* as a rendezvous
-        /// and the result stays bitwise-equal to the channel path.
-        #[test]
-        fn pipelined_ring_over_slots_matches_and_counts_overflow() {
-            let world = 4;
-            let mk = move |rank: usize| -> Vec<f32> {
-                (0..301).map(|i| ((rank * 17 + i) as f32).cos()).collect()
-            };
-            let over_channels = run_group(world, move |rank, ep| {
-                let mut buf = mk(rank);
-                ring_allreduce_pipelined(ep, &mut buf, 2);
-                buf
-            });
-            let over_slots = run_group_on(slot_mesh(world), move |rank, ep| {
-                let mut buf = mk(rank);
-                ring_allreduce_pipelined(ep, &mut buf, 2);
-                let overflow = ep.control_msgs();
-                (buf, overflow, ep.msgs_sent())
-            });
-            for (rank, (ch, (sl, overflow, sent))) in
-                over_channels.iter().zip(&over_slots).enumerate()
-            {
-                assert_eq!(ch, sl, "world={world} rank={rank}");
-                // 301 elems / 4 ranks / seg 2 = ~38 segments per step:
-                // far past SLOT_CAPACITY, so the fallback must have fired
-                // — and never more often than there were messages.
-                assert!(*overflow > 0, "rank={rank}: expected counted rendezvous");
-                assert!(overflow <= sent, "rank={rank}: overflow exceeds sends");
-            }
-        }
-
-        /// Elastic re-form over slots: a crashed rank is evicted, pools
-        /// re-register under the committed epoch (one control message per
-        /// link), and the survivors' next collective still sums correctly.
-        #[test]
-        fn elastic_reform_reregisters_slot_pools() {
-            use crate::elastic::ElasticWorker;
-            use crate::transport::{slot_mesh_with_faults, FaultPlan};
-            use std::time::Duration;
-            let mesh =
-                slot_mesh_with_faults(3, &FaultPlan::default(), Some(Duration::from_millis(250)));
-            let out = run_group_on(mesh, move |rank, ep| {
-                if rank == 2 {
-                    ep.crash();
-                    return (0, Vec::new());
-                }
-                let mut w = ElasticWorker::new(ep);
-                let mut buf = vec![rank as f32; 8];
-                assert!(try_ring_allreduce(&mut w, &mut buf).is_err());
-                let outcome = w.reform().expect("survivors re-form");
-                assert_eq!(outcome.members, vec![0, 1]);
-                let mut buf = vec![rank as f32 + 1.0; 4];
-                try_ring_allreduce(&mut w, &mut buf).expect("post-reform collective");
-                (w.epoch(), buf)
-            });
-            assert_eq!(out[0].0, 1);
-            assert_eq!(out[0].1, vec![3.0; 4]);
-            assert_eq!(out[1].1, vec![3.0; 4]);
-        }
     }
 
     mod sparse_allreduce_tests {

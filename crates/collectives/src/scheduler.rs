@@ -15,8 +15,8 @@
 //! more urgent submission preempts the op already on the wire; its
 //! remaining units resume afterwards, and the chunked result is
 //! bitwise-identical to unchunked execution (same per-element reduce
-//! order, same wire framing per link as
-//! [`crate::ops::try_ring_allreduce_pipelined`]).
+//! order as [`crate::ops::try_ring_allreduce`]; only the wire framing
+//! differs, one packet per segment).
 //!
 //! Collectives are SPMD: an operation only completes when *every* rank's
 //! thread reaches it. Correctness therefore requires all ranks to enqueue
@@ -448,14 +448,17 @@ fn recv_ctrl(ep: &mut Endpoint) -> Result<Ctrl, CommError> {
 // ---------------------------------------------------------------------------
 
 /// A collective in flight, executed one *unit* at a time so the
-/// controller can preempt between units. Ring units are `seg_elems`-f32
-/// segments laid out exactly like `try_ring_allreduce_pipelined`'s (same
-/// wire framing per link, same per-element reduce order — bitwise
-/// identical to unchunked). Fan-out units are one peer's block: unit `u`
-/// sends to `(rank+u+1) % world` and receives from
-/// `(rank+world-u-1) % world`, so on every link the sender's and
-/// receiver's unit indices agree and each unit sends before it receives —
-/// deadlock-free without barriers.
+/// controller can preempt between units. A ring unit is one
+/// `seg_elems`-f32 segment of one of the 2·(N−1) ring steps: unit `u` of
+/// step `s` sends elements `[u·seg_elems, (u+1)·seg_elems)` of step `s`'s
+/// send chunk to the successor and receives the same slice of its
+/// receive chunk from the predecessor (a unit past a chunk's end moves
+/// nothing). Reduction applies `dst[i] += src[i]` in the unsegmented
+/// ring's element order, so the result is bitwise identical to it.
+/// Fan-out units are one peer's block: unit `u` sends to
+/// `(rank+u+1) % world` and receives from `(rank+world-u-1) % world`, so
+/// on every link the sender's and receiver's unit indices agree and each
+/// unit sends before it receives — deadlock-free without barriers.
 enum ChunkedExec {
     Ring { buf: Vec<f32>, seg_elems: usize, unit: usize, pool: Vec<DenseTensor> },
     Dense { parts: Vec<DenseTensor>, out: Vec<DenseTensor>, unit: usize },

@@ -27,35 +27,14 @@
 //!
 //! The legacy panicking [`Endpoint::send`]/[`Endpoint::recv`] remain as
 //! thin wrappers for code that treats communication failure as fatal.
-//!
-//! # One-sided slot transport
-//!
-//! The channel mesh is two-sided: every message pays a rendezvous between
-//! sender and receiver halves — the per-message control round-trip "RPC
-//! Considered Harmful" identifies as the steady-state bottleneck. The slot
-//! transport ([`slot_mesh`] / [`slot_mesh_with_faults`]) replaces it with
-//! one-sided semantics: each ordered link owns a registered [`SlotRing`]
-//! of [`SLOT_CAPACITY`] fixed slots, pre-negotiated at mesh setup. A send
-//! is a `put` into the slot addressed by its sequence number (the slot
-//! header carries `seq` + the registration epoch), a doorbell wakes the
-//! receiver, and consuming a slot re-arms it — the credit returns through
-//! the shared slot state, never as a message. Steady-state collectives
-//! therefore move *only payload*: [`Endpoint::control_msgs`] stays at
-//! zero as long as no link ever has more than [`SLOT_CAPACITY`] packets
-//! in flight (the model checker proves this bound for every modeled
-//! collective). A put that finds all slots armed falls back to a queued
-//! rendezvous — counted as one control message — so sends never block and
-//! the deadlock-freedom argument of the channel mesh carries over
-//! verbatim. Elastic re-form re-registers every pool via
-//! [`Endpoint::reregister_slots`] (one control message per link).
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use embrace_tensor::{DenseTensor, RowSparse, TokenBuf, TOKEN_BYTES};
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// The transport capability the collective algorithms actually need:
 /// addressed fallible point-to-point send/receive plus the rank/world
@@ -711,253 +690,14 @@ fn spawn_delay_worker(out: Sender<Packet>, delay: Duration) -> Sender<Packet> {
     dtx
 }
 
-/// Store-and-forward worker for a delayed link on the slot transport: same
-/// contract as [`spawn_delay_worker`], but the deferred delivery is a
-/// one-sided `put` into the link's registered slot pool. A failed put means
-/// the receiver deregistered (crashed); the packet is dropped, which is
-/// indistinguishable on the wire.
-fn spawn_slot_delay_worker(ring: Arc<SlotRing>, delay: Duration) -> Sender<Packet> {
-    let (dtx, drx) = unbounded::<Packet>();
-    ring.attach_producer();
-    std::thread::spawn(move || {
-        while let Ok(p) = drx.recv() {
-            std::thread::sleep(delay);
-            let _ = ring.put(p);
-        }
-        // Input disconnected and drained: only now may the receiver see
-        // the link as closed.
-        ring.close_sender();
-    });
-    dtx
-}
-
-/// Number of registered slots per ordered link in a [`slot_mesh`]. Sized so
-/// every modeled collective's per-link in-flight bound fits (the analyzer's
-/// model checker proves `max_link_in_flight <= SLOT_CAPACITY` at worlds
-/// 2–4): steady state never takes the rendezvous fallback.
-pub const SLOT_CAPACITY: usize = 16;
-
-/// One occupied slot: the sequence-stamped header (`seq`, registration
-/// `epoch`) plus the payload. The header is what replaces the per-message
-/// control round-trip — the receiver validates `seq` against its own
-/// consume cursor instead of negotiating each transfer.
-struct SlotMsg {
-    seq: u64,
-    epoch: u64,
-    packet: Packet,
-}
-
-/// Shared state of one ordered link's registered slot pool.
-struct RingState {
-    /// `slots[seq % SLOT_CAPACITY]` holds the message with that sequence
-    /// number, if the sender has put it and the receiver has not yet
-    /// consumed it.
-    slots: Vec<Option<SlotMsg>>,
-    /// Puts that found every slot armed: the rendezvous fallback queue.
-    /// Entries promote into slots as the receiver frees them (the credit
-    /// returns through this shared state, never as a message).
-    overflow: VecDeque<SlotMsg>,
-    /// Sequence number the next put will stamp.
-    next_seq: u64,
-    /// Sequence number the next get expects (the consume cursor — doubles
-    /// as the credit line: a put with `seq < get_seq + SLOT_CAPACITY` has
-    /// a slot reserved for it).
-    get_seq: u64,
-    /// Registration epoch stamped into headers; bumped by elastic re-form.
-    epoch: u64,
-    /// Puts that missed the slot window and paid a control round-trip.
-    rendezvous: u64,
-    /// Live producer handles: the owning endpoint plus any fault-injection
-    /// delay workers still holding undelivered packets. The sender side
-    /// only reads as closed once every producer has released — mirroring
-    /// how a channel stays connected while a delay worker holds a cloned
-    /// `Sender`.
-    producers: usize,
-    sender_closed: bool,
-    receiver_closed: bool,
-}
-
-/// Why a [`SlotRing::get`] returned no packet.
-enum SlotGetError {
-    /// Sender deregistered and every outstanding slot has been drained.
-    Closed,
-    /// Deadline elapsed with no doorbell.
-    TimedOut,
-}
-
-/// A registered slot pool for one ordered link (the one-sided transport's
-/// replacement for a channel). `put` stamps a header and writes the slot
-/// addressed by its sequence number — it never blocks and never exchanges
-/// a message with the receiver; `get` consumes the slot at the cursor,
-/// which re-arms it for the sequence number `SLOT_CAPACITY` ahead. The
-/// doorbell condvar is a wakeup, not a message: it models the remote
-/// write's completion visibility, not a control round-trip.
-struct SlotRing {
-    state: Mutex<RingState>,
-    doorbell: Condvar,
-}
-
-impl SlotRing {
-    fn new() -> SlotRing {
-        SlotRing {
-            state: Mutex::new(RingState {
-                slots: (0..SLOT_CAPACITY).map(|_| None).collect(),
-                overflow: VecDeque::new(),
-                next_seq: 0,
-                get_seq: 0,
-                epoch: 0,
-                rendezvous: 0,
-                producers: 1,
-                sender_closed: false,
-                receiver_closed: false,
-            }),
-            doorbell: Condvar::new(),
-        }
-    }
-
-    /// One-sided send: stamp the header and write the packet into its
-    /// slot, or queue a rendezvous when the slot window is exhausted.
-    /// Never blocks. Fails only when the receiver has deregistered.
-    fn put(&self, packet: Packet) -> Result<(), Packet> {
-        let mut st = self.state.lock().expect("slot ring mutex poisoned");
-        if st.receiver_closed {
-            return Err(packet);
-        }
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let msg = SlotMsg { seq, epoch: st.epoch, packet };
-        if seq < st.get_seq + SLOT_CAPACITY as u64 {
-            let slot = (seq % SLOT_CAPACITY as u64) as usize;
-            debug_assert!(st.slots[slot].is_none(), "slot write would clobber");
-            st.slots[slot] = Some(msg);
-        } else {
-            st.overflow.push_back(msg);
-            st.rendezvous += 1;
-        }
-        self.doorbell.notify_all();
-        Ok(())
-    }
-
-    /// Consume the slot at the cursor if it is armed, validating its
-    /// header and re-arming the freed slot from the rendezvous queue.
-    fn take_ready(st: &mut RingState) -> Option<SlotMsg> {
-        let at = (st.get_seq % SLOT_CAPACITY as u64) as usize;
-        let msg = st.slots[at].take()?;
-        assert_eq!(msg.seq, st.get_seq, "slot header out of sequence");
-        debug_assert!(msg.epoch <= st.epoch, "slot header from a future epoch");
-        st.get_seq += 1;
-        // Credit return: the freed slot immediately re-arms from the
-        // rendezvous queue through this shared state — no message.
-        if st.overflow.front().is_some_and(|m| m.seq < st.get_seq + SLOT_CAPACITY as u64) {
-            let m = st.overflow.pop_front().expect("front existence checked above");
-            let slot = (m.seq % SLOT_CAPACITY as u64) as usize;
-            st.slots[slot] = Some(m);
-        }
-        Some(msg)
-    }
-
-    /// Blocking receive (bounded by `deadline` when given): wait on the
-    /// doorbell until the cursor's slot is armed. Outstanding slots drain
-    /// before a closed sender is reported, matching channel semantics.
-    fn get(&self, deadline: Option<Duration>) -> Result<Packet, SlotGetError> {
-        let start = Instant::now();
-        let mut st = self.state.lock().expect("slot ring mutex poisoned");
-        loop {
-            if let Some(msg) = Self::take_ready(&mut st) {
-                return Ok(msg.packet);
-            }
-            if st.sender_closed {
-                return Err(SlotGetError::Closed);
-            }
-            st = match deadline {
-                None => self.doorbell.wait(st).expect("slot ring mutex poisoned"),
-                Some(d) => {
-                    let Some(remaining) = d.checked_sub(start.elapsed()) else {
-                        return Err(SlotGetError::TimedOut);
-                    };
-                    let (guard, _) = self
-                        .doorbell
-                        .wait_timeout(st, remaining)
-                        .expect("slot ring mutex poisoned");
-                    guard
-                }
-            };
-        }
-    }
-
-    /// Non-blocking receive: the cursor's slot if armed, else `None`.
-    fn try_get(&self) -> Option<Packet> {
-        let mut st = self.state.lock().expect("slot ring mutex poisoned");
-        Self::take_ready(&mut st).map(|m| m.packet)
-    }
-
-    /// Puts that fell back to a queued rendezvous (each cost one control
-    /// message). Zero in steady state.
-    fn rendezvous_count(&self) -> u64 {
-        self.state.lock().expect("slot ring mutex poisoned").rendezvous
-    }
-
-    /// Re-register the pool for a new group epoch (elastic re-form).
-    /// Sequence state survives: in-flight slots stay valid, only the
-    /// header epoch advances.
-    fn reregister(&self, epoch: u64) {
-        let mut st = self.state.lock().expect("slot ring mutex poisoned");
-        assert!(epoch >= st.epoch, "slot epoch must not regress");
-        st.epoch = epoch;
-    }
-
-    /// Register an extra producer handle (a delay worker that will keep
-    /// putting after the owning endpoint is gone).
-    fn attach_producer(&self) {
-        self.state.lock().expect("slot ring mutex poisoned").producers += 1;
-    }
-
-    /// Release one producer handle; the ring reads as sender-closed only
-    /// when the last producer releases, so delayed packets still drain
-    /// before a receiver observes the disconnect.
-    fn close_sender(&self) {
-        let mut st = self.state.lock().expect("slot ring mutex poisoned");
-        st.producers = st.producers.saturating_sub(1);
-        if st.producers == 0 {
-            st.sender_closed = true;
-            drop(st);
-            self.doorbell.notify_all();
-        }
-    }
-
-    fn close_receiver(&self) {
-        self.state.lock().expect("slot ring mutex poisoned").receiver_closed = true;
-        self.doorbell.notify_all();
-    }
-}
-
 /// Per-rank handle onto the mesh. Sending never blocks (channels are
 /// unbounded) unless a link-delay fault is configured; receiving blocks
 /// until the addressed peer has sent, bounded by the configured deadline.
-///
-/// An endpoint runs in one of two transport modes, fixed at construction:
-/// two-sided channels ([`mesh`]) where every message pays a rendezvous
-/// control round-trip, or one-sided registered slots ([`slot_mesh`]) where
-/// steady-state traffic is pure payload. [`Endpoint::control_msgs`]
-/// exposes the difference; all other counters are mode-independent.
 pub struct Endpoint {
     rank: usize,
     world: usize,
     tx: Vec<Sender<Packet>>,
     rx: Vec<Receiver<Packet>>,
-    /// One-sided mode: sender halves of this rank's outgoing slot pools
-    /// (`slot_tx[to]`) and receiver halves of its incoming ones
-    /// (`slot_rx[from]`). Empty in channel mode.
-    slot_tx: Vec<Arc<SlotRing>>,
-    slot_rx: Vec<Arc<SlotRing>>,
-    /// True when this endpoint was built by [`slot_mesh`] /
-    /// [`slot_mesh_with_faults`] (kept separate from the vectors above
-    /// because [`Endpoint::crash`] clears them).
-    one_sided: bool,
-    /// Control-plane round-trips charged directly to this endpoint:
-    /// channel mode charges one per message (the two-sided rendezvous);
-    /// slot mode charges only Abort/Reform sends and slot re-registration.
-    control: Cell<u64>,
     bytes_sent: u64,
     msgs_sent: u64,
     /// Bytes of sent payloads that were exclusively owned (materialised)
@@ -1036,17 +776,6 @@ impl Endpoint {
         self.msgs_sent += 1;
         self.sent_per_peer[to].0 += 1;
         self.sent_per_peer[to].1 += packet.nbytes() as u64;
-        if self.one_sided {
-            // Control-plane packets pay their round-trip even one-sided:
-            // abort/reform must interrupt the peer, not sit in a slot.
-            if matches!(packet, Packet::Abort { .. } | Packet::Reform(_)) {
-                self.control.set(self.control.get() + 1);
-            }
-        } else {
-            // Two-sided rendezvous: every message costs one control
-            // round-trip between the sender and receiver halves.
-            self.control.set(self.control.get() + 1);
-        }
         if let Some(f) = self.faults.as_mut() {
             let n = f.delivered[to];
             f.delivered[to] = n + 1;
@@ -1067,21 +796,13 @@ impl Endpoint {
             }
             if let Some(delay) = f.delays[to] {
                 if f.delay_tx[to].is_none() {
-                    let worker = if self.one_sided {
-                        spawn_slot_delay_worker(Arc::clone(&self.slot_tx[to]), delay)
-                    } else {
-                        spawn_delay_worker(self.tx[to].clone(), delay)
-                    };
-                    f.delay_tx[to] = Some(worker);
+                    f.delay_tx[to] = Some(spawn_delay_worker(self.tx[to].clone(), delay));
                 }
                 let dtx = f.delay_tx[to].as_ref().expect("worker installed above");
                 // The worker holds its receiver for as long as this sender
                 // half exists, so this send cannot observe disconnection.
                 return dtx.send(packet).map_err(|_| CommError::PeerGone { peer: to });
             }
-        }
-        if self.one_sided {
-            return self.slot_tx[to].put(packet).map_err(|_| CommError::PeerGone { peer: to });
         }
         self.tx[to].send(packet).map_err(|_| CommError::PeerGone { peer: to })
     }
@@ -1103,9 +824,6 @@ impl Endpoint {
                 if self.crashed {
                     return Err(CommError::Injected { rank: self.rank });
                 }
-                if self.one_sided {
-                    return self.slot_get(from, None);
-                }
                 match self.rx[from].recv() {
                     Ok(p) => {
                         self.note_recv(&p);
@@ -1123,9 +841,6 @@ impl Endpoint {
         if self.crashed {
             return Err(CommError::Injected { rank: self.rank });
         }
-        if self.one_sided {
-            return self.slot_get(from, Some(deadline));
-        }
         match self.rx[from].recv_timeout(deadline) {
             Ok(p) => {
                 self.note_recv(&p);
@@ -1135,21 +850,6 @@ impl Endpoint {
                 Err(CommError::Timeout { peer: from, waited: deadline })
             }
             Err(RecvTimeoutError::Disconnected) => Err(CommError::PeerGone { peer: from }),
-        }
-    }
-
-    /// One-sided receive: consume the cursor slot of the `from` link's
-    /// registered pool, mapping pool outcomes onto transport errors.
-    fn slot_get(&self, from: usize, deadline: Option<Duration>) -> Result<Packet, CommError> {
-        match self.slot_rx[from].get(deadline) {
-            Ok(p) => {
-                self.note_recv(&p);
-                Ok(p)
-            }
-            Err(SlotGetError::Closed) => Err(CommError::PeerGone { peer: from }),
-            Err(SlotGetError::TimedOut) => {
-                Err(CommError::Timeout { peer: from, waited: deadline.unwrap_or(Duration::ZERO) })
-            }
         }
     }
 
@@ -1178,11 +878,7 @@ impl Endpoint {
 
     /// Drain any packet already queued from `from` without blocking.
     pub fn poll(&self, from: usize) -> Option<Packet> {
-        let p = if self.one_sided {
-            self.slot_rx[from].try_get()
-        } else {
-            self.rx[from].try_recv().ok()
-        };
+        let p = self.rx[from].try_recv().ok();
         if let Some(p) = &p {
             self.note_recv(p);
         }
@@ -1219,24 +915,9 @@ impl Endpoint {
         self.crashed = true;
         self.tx.clear();
         self.rx.clear();
-        self.close_rings();
         // Dropping the delay-worker senders lets store-and-forward threads
         // drain and exit.
         self.faults = None;
-    }
-
-    /// Deregister this rank's slot pools: peers' puts start failing
-    /// (`PeerGone`) and their gets drain outstanding slots, then observe
-    /// the closed sender — the one-sided analogue of dropped channels.
-    fn close_rings(&mut self) {
-        for ring in &self.slot_tx {
-            ring.close_sender();
-        }
-        for ring in &self.slot_rx {
-            ring.close_receiver();
-        }
-        self.slot_tx.clear();
-        self.slot_rx.clear();
     }
 
     pub fn is_crashed(&self) -> bool {
@@ -1296,34 +977,6 @@ impl Endpoint {
         self.retries.get()
     }
 
-    /// True when this endpoint rides the one-sided slot transport.
-    pub fn is_one_sided(&self) -> bool {
-        self.one_sided
-    }
-
-    /// Control-plane round-trips this endpoint has paid. Channel mode:
-    /// one per message sent (the two-sided rendezvous), so this equals
-    /// [`Endpoint::msgs_sent`]. Slot mode: only Abort/Reform sends, slot
-    /// re-registration (one per link per epoch), and puts that overflowed
-    /// the slot window — zero for steady-state collectives.
-    pub fn control_msgs(&self) -> u64 {
-        let overflowed: u64 = self.slot_tx.iter().map(|r| r.rendezvous_count()).sum();
-        self.control.get() + overflowed
-    }
-
-    /// Re-register this rank's outgoing slot pools for a new group epoch
-    /// (elastic re-form). Costs one control message per link — the
-    /// registration handshake — and returns the number of links touched
-    /// (zero on channel meshes, where there is nothing to register).
-    pub fn reregister_slots(&mut self, epoch: u64) -> usize {
-        for ring in &self.slot_tx {
-            ring.reregister(epoch);
-        }
-        let links = self.slot_tx.len();
-        self.control.set(self.control.get() + links as u64);
-        links
-    }
-
     /// Export this endpoint's transport counters into an
     /// [`embrace_obs::Metrics`] registry under `transport.*` names.
     /// Counters *add*, so merging per-rank registries yields mesh totals.
@@ -1334,15 +987,6 @@ impl Endpoint {
         m.inc("transport.bytes_received", self.bytes_recv.get());
         m.inc("transport.msgs_received", self.msgs_recv.get());
         m.inc("transport.recv_retries", self.retries.get());
-        m.inc("transport.control_msgs", self.control_msgs());
-    }
-}
-
-impl Drop for Endpoint {
-    fn drop(&mut self) {
-        // Channel halves deregister themselves on drop; slot pools need
-        // an explicit close so blocked peers wake instead of hanging.
-        self.close_rings();
     }
 }
 
@@ -1382,59 +1026,6 @@ pub fn mesh_with_faults(
             world,
             tx: tx_row.into_iter().map(Option::unwrap).collect(),
             rx: rx_row.into_iter().map(Option::unwrap).collect(),
-            slot_tx: Vec::new(),
-            slot_rx: Vec::new(),
-            one_sided: false,
-            control: Cell::new(0),
-            bytes_sent: 0,
-            msgs_sent: 0,
-            bytes_copied: 0,
-            sent_per_peer: vec![(0, 0); world],
-            bytes_recv: Cell::new(0),
-            msgs_recv: Cell::new(0),
-            retries: Cell::new(0),
-            deadline,
-            faults: plan.link_state_for(rank, world),
-            crash_at_step: plan.crash_step(rank),
-            crash_at_op: plan.crash_op(rank),
-            ops: 0,
-            step: 0,
-            crashed: false,
-        })
-        .collect()
-}
-
-/// Construct a full mesh over the one-sided slot transport with no fault
-/// state and blocking receives. Drop-in for [`mesh`]: identical collective
-/// results and byte counters, but steady-state traffic pays zero control
-/// round-trips (see [`Endpoint::control_msgs`]).
-pub fn slot_mesh(world: usize) -> Vec<Endpoint> {
-    slot_mesh_with_faults(world, &FaultPlan::default(), None)
-}
-
-/// [`slot_mesh`] with a fault plan and default receive deadline — the
-/// one-sided counterpart of [`mesh_with_faults`]. Every ordered link gets
-/// a registered [`SLOT_CAPACITY`]-deep slot pool, pre-negotiated here so
-/// steady-state sends are pure payload.
-pub fn slot_mesh_with_faults(
-    world: usize,
-    plan: &FaultPlan,
-    deadline: Option<Duration>,
-) -> Vec<Endpoint> {
-    assert!(world > 0, "mesh needs at least one rank");
-    // rings[i][j]: the registered pool for ordered link i -> j.
-    let rings: Vec<Vec<Arc<SlotRing>>> =
-        (0..world).map(|_| (0..world).map(|_| Arc::new(SlotRing::new())).collect()).collect();
-    (0..world)
-        .map(|rank| Endpoint {
-            rank,
-            world,
-            tx: Vec::new(),
-            rx: Vec::new(),
-            slot_tx: rings[rank].clone(),
-            slot_rx: (0..world).map(|from| Arc::clone(&rings[from][rank])).collect(),
-            one_sided: true,
-            control: Cell::new(0),
             bytes_sent: 0,
             msgs_sent: 0,
             bytes_copied: 0,
@@ -1815,161 +1406,5 @@ mod tests {
         let commit = Packet::Reform(ReformMsg::Commit { epoch: 2, members: vec![0, 1, 3] });
         assert_eq!(commit.nbytes(), 8 + 3 * TOKEN_BYTES);
         assert_eq!(commit.kind(), "Reform");
-    }
-
-    #[test]
-    fn slot_mesh_point_to_point_delivery_and_ordering() {
-        let mut eps = slot_mesh(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        assert!(a.is_one_sided() && b.is_one_sided());
-        for k in 0..5u32 {
-            a.try_send(1, Packet::Tokens(vec![k].into())).unwrap();
-        }
-        for k in 0..5u32 {
-            let got = b.try_recv(0).unwrap().try_into_tokens().unwrap();
-            assert_eq!(got.as_slice(), &[k]);
-        }
-    }
-
-    #[test]
-    fn slot_transport_in_window_sends_pay_zero_control() {
-        let mut eps = slot_mesh(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        for _ in 0..SLOT_CAPACITY {
-            a.try_send(1, Packet::Empty).unwrap();
-        }
-        for _ in 0..SLOT_CAPACITY {
-            b.try_recv(0).unwrap();
-        }
-        assert_eq!(a.control_msgs(), 0, "in-window puts must be pure payload");
-        assert_eq!(a.msgs_sent(), SLOT_CAPACITY as u64);
-        // The identical traffic over channels pays one rendezvous each.
-        let mut ch = mesh(2);
-        let cb = ch.pop().unwrap();
-        let mut ca = ch.pop().unwrap();
-        for _ in 0..SLOT_CAPACITY {
-            ca.try_send(1, Packet::Empty).unwrap();
-        }
-        for _ in 0..SLOT_CAPACITY {
-            cb.try_recv(0).unwrap();
-        }
-        assert_eq!(ca.control_msgs(), ca.msgs_sent());
-    }
-
-    #[test]
-    fn slot_overflow_falls_back_to_counted_rendezvous() {
-        let extra = 3u64;
-        let mut eps = slot_mesh(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        for k in 0..SLOT_CAPACITY as u64 + extra {
-            a.try_send(1, Packet::Tokens(vec![k as u32].into())).unwrap();
-        }
-        assert_eq!(a.control_msgs(), extra, "each overflow put is one rendezvous");
-        // Delivery order survives the overflow queue, and consuming slots
-        // promotes queued messages without further control traffic.
-        for k in 0..SLOT_CAPACITY as u64 + extra {
-            let got = b.try_recv(0).unwrap().try_into_tokens().unwrap();
-            assert_eq!(got.as_slice(), &[k as u32]);
-        }
-        assert_eq!(a.control_msgs(), extra);
-    }
-
-    #[test]
-    fn slot_abort_and_reform_sends_are_control_plane() {
-        let mut eps = slot_mesh(2);
-        let _b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        a.try_send(1, Packet::Abort { origin: 0 }).unwrap();
-        a.try_send(1, Packet::Reform(ReformMsg::Report { origin: 0, epoch: 1 })).unwrap();
-        a.try_send(1, Packet::Empty).unwrap();
-        assert_eq!(a.control_msgs(), 2);
-    }
-
-    #[test]
-    fn slot_reregister_costs_one_control_msg_per_link() {
-        let mut eps = slot_mesh(3);
-        let mut a = eps.remove(0);
-        assert_eq!(a.control_msgs(), 0);
-        assert_eq!(a.reregister_slots(1), 3);
-        assert_eq!(a.control_msgs(), 3);
-        // Channel endpoints have no pools to re-register.
-        let mut ch = mesh(2);
-        assert_eq!(ch[0].reregister_slots(1), 0);
-    }
-
-    #[test]
-    fn slot_dropped_peer_yields_peer_gone_after_drain() {
-        let mut eps = slot_mesh(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        a.try_send(1, Packet::Empty).unwrap();
-        drop(a);
-        // Outstanding slots drain before the closed pool is reported.
-        assert_eq!(b.try_recv(0).unwrap(), Packet::Empty);
-        assert_eq!(b.try_recv(0), Err(CommError::PeerGone { peer: 0 }));
-    }
-
-    #[test]
-    fn slot_crash_disconnects_peers_and_poisons_self() {
-        let mut eps = slot_mesh(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        a.crash();
-        assert_eq!(a.try_send(1, Packet::Empty), Err(CommError::Injected { rank: 0 }));
-        assert_eq!(b.try_recv(0), Err(CommError::PeerGone { peer: 0 }));
-        assert_eq!(b.try_send(0, Packet::Empty), Err(CommError::PeerGone { peer: 0 }));
-    }
-
-    #[test]
-    fn slot_recv_times_out_on_silent_link() {
-        let eps = slot_mesh(2);
-        let err = eps[1].recv_timeout(0, Duration::from_millis(20));
-        assert!(matches!(err, Err(CommError::Timeout { peer: 0, .. })), "got {err:?}");
-    }
-
-    #[test]
-    fn slot_mesh_fault_injection_drops_and_delays() {
-        let plan =
-            FaultPlan::new(3).drop_link_after(0, 1, 1).delay_link(1, 0, Duration::from_millis(30));
-        let mut eps = slot_mesh_with_faults(2, &plan, Some(Duration::from_millis(500)));
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        a.try_send(1, Packet::Tokens(vec![7].into())).unwrap();
-        a.try_send(1, Packet::Tokens(vec![8].into())).unwrap(); // dropped
-        assert_eq!(b.try_recv(0).unwrap().try_into_tokens().unwrap().as_slice(), &[7]);
-        assert!(matches!(
-            b.recv_timeout(0, Duration::from_millis(40)),
-            Err(CommError::Timeout { .. })
-        ));
-        // Delayed link: invisible to a short poll, delivered to a long wait.
-        b.try_send(0, Packet::Empty).unwrap();
-        assert!(a.poll(1).is_none());
-        assert_eq!(a.try_recv(1).unwrap(), Packet::Empty);
-    }
-
-    #[test]
-    fn slot_poll_drains_without_blocking() {
-        let mut eps = slot_mesh(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        assert!(b.poll(0).is_none());
-        a.try_send(1, Packet::Empty).unwrap();
-        assert_eq!(b.poll(0), Some(Packet::Empty));
-        assert!(b.poll(0).is_none());
-        assert_eq!(b.msgs_received(), 1);
-    }
-
-    #[test]
-    fn slot_control_counter_exports_to_metrics() {
-        let mut eps = slot_mesh(2);
-        let mut a = eps.remove(0);
-        a.try_send(1, Packet::Empty).unwrap();
-        let mut m = embrace_obs::Metrics::default();
-        a.export_metrics(&mut m);
-        assert_eq!(m.counter("transport.control_msgs"), 0);
-        assert_eq!(m.counter("transport.msgs_sent"), 1);
     }
 }

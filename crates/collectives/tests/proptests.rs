@@ -2,15 +2,15 @@
 //! shared-payload / scratch-buffer implementations must be *bitwise*
 //! identical to the straightforward pre-change semantics on random
 //! worlds and shapes — including degenerate ones (`world == 1`,
-//! `len < world`, empty buffers) — and the segmented/pipelined ring must
-//! reproduce the unsegmented ring exactly.
+//! `len < world`, empty buffers) — and store-and-forward link delays
+//! must never change a collective's result.
 
 use embrace_collectives::ops::{
-    allgather_dense, alltoallv_sparse, broadcast, ring_allreduce, ring_allreduce_pipelined,
-    sparse_allreduce, sparse_allreduce_oracle, SsarConfig,
+    allgather_dense, alltoallv_sparse, broadcast, ring_allreduce, sparse_allreduce,
+    sparse_allreduce_oracle, SsarConfig,
 };
-use embrace_collectives::transport::{mesh_with_faults, slot_mesh_with_faults, Packet};
-use embrace_collectives::{run_group, run_group_on, FaultPlan};
+use embrace_collectives::transport::Packet;
+use embrace_collectives::{run_group, run_group_with_faults, Endpoint, FaultPlan};
 use embrace_tensor::{row_partition, DenseTensor, RowSparse};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -86,21 +86,16 @@ fn ssar_local(
     RowSparse::new(indices, DenseTensor::from_vec(n, dim, vals))
 }
 
-/// Run the same per-rank closure over the channel mesh and the one-sided
-/// slot mesh with identical fault plans, returning both result vectors —
-/// the observational-equivalence harness for the slot transport.
-fn on_both_transports<R, F>(
-    world: usize,
-    plan: &embrace_collectives::FaultPlan,
-    f: F,
-) -> (Vec<R>, Vec<R>)
+/// Run the same per-rank closure over a mesh whose links carry `plan`'s
+/// delays and over a fault-free mesh, returning both result vectors.
+fn delayed_and_fault_free<R, F>(world: usize, plan: &FaultPlan, f: F) -> (Vec<R>, Vec<R>)
 where
     R: Send,
-    F: Fn(usize, &mut embrace_collectives::Endpoint) -> R + Sync,
+    F: Fn(usize, &mut Endpoint) -> R + Sync,
 {
-    let channel = run_group_on(mesh_with_faults(world, plan, None), &f);
-    let slot = run_group_on(slot_mesh_with_faults(world, plan, None), &f);
-    (channel, slot)
+    let delayed = run_group_with_faults(world, plan, None, &f);
+    let clean = run_group(world, &f);
+    (delayed, clean)
 }
 
 proptest! {
@@ -131,32 +126,6 @@ proptest! {
                     "rank {} element {}: {} vs {}", rank, i, g, e
                 );
             }
-        }
-    }
-
-    #[test]
-    fn pipelined_ring_is_bitwise_identical_to_unsegmented(
-        world in 1usize..=5,
-        len in 0usize..=67,
-        seg in 1usize..=32,
-    ) {
-        let inputs: Vec<Vec<f32>> = (0..world)
-            .map(|r| (0..len).map(|i| ((r * 131 + i * 7) % 257) as f32 * 0.5 - 64.0).collect())
-            .collect();
-        let (a, b) = (inputs.clone(), inputs.clone());
-        let plain = run_group(world, move |rank, ep| {
-            let mut buf = a[rank].clone();
-            ring_allreduce(ep, &mut buf);
-            buf
-        });
-        let piped = run_group(world, move |rank, ep| {
-            let mut buf = b[rank].clone();
-            ring_allreduce_pipelined(ep, &mut buf, seg);
-            buf
-        });
-        for rank in 0..world {
-            let bits = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&plain[rank]), bits(&piped[rank]), "rank {}", rank);
         }
     }
 
@@ -227,49 +196,35 @@ proptest! {
     }
 
     #[test]
-    fn slot_transport_is_bitwise_identical_to_channel(
+    fn delayed_links_are_bitwise_identical_to_fault_free(
         world in 2usize..=8,
         len in 0usize..=MAX_LEN,
-        seg in 1usize..=32,
         rows in 0usize..=4,
         dim in 1usize..=5,
-        // Below 50 = fault-free; otherwise inject store-and-forward delays
-        // on two links, exercising the slot delay worker against the
-        // channel one (delivery order per link is preserved by both).
-        delay_us in 0u64..=400,
+        // Store-and-forward delays on two links: the delay worker must
+        // preserve per-link delivery order, so results cannot change.
+        delay_us in 1u64..=400,
         vocab in 1usize..=20,
         nnzs in vec(0usize..=SSAR_MAX_NNZ, 8),
         raw_idx in vec(0u32..4096, 8 * SSAR_MAX_NNZ),
         raw_val in vec(-1.0e3f32..1.0e3, 8 * SSAR_MAX_NNZ * 3),
     ) {
-        let plan = if delay_us >= 50 {
-            FaultPlan::new(7)
-                .delay_link(0, 1, Duration::from_micros(delay_us))
-                .delay_link(world - 1, 0, Duration::from_micros(delay_us / 2 + 1))
-        } else {
-            FaultPlan::default()
-        };
+        let plan = FaultPlan::new(7)
+            .delay_link(0, 1, Duration::from_micros(delay_us))
+            .delay_link(world - 1, 0, Duration::from_micros(delay_us / 2 + 1));
 
-        // Ring AllReduce, unsegmented and pipelined.
+        // Ring AllReduce.
         let inputs: Vec<Vec<f32>> = (0..world)
             .map(|r| (0..len).map(|i| ((r * 131 + i * 7) % 257) as f32 * 0.5 - 64.0).collect())
             .collect();
-        let (ch, sl) = on_both_transports(world, &plan, |rank, ep| {
+        let (dl, ff) = delayed_and_fault_free(world, &plan, |rank, ep| {
             let mut buf = inputs[rank].clone();
             ring_allreduce(ep, &mut buf);
             buf
         });
         let bits = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for rank in 0..world {
-            prop_assert_eq!(bits(&ch[rank]), bits(&sl[rank]), "ring rank {}", rank);
-        }
-        let (ch, sl) = on_both_transports(world, &plan, |rank, ep| {
-            let mut buf = inputs[rank].clone();
-            ring_allreduce_pipelined(ep, &mut buf, seg);
-            buf
-        });
-        for rank in 0..world {
-            prop_assert_eq!(bits(&ch[rank]), bits(&sl[rank]), "pipelined rank {}", rank);
+            prop_assert_eq!(bits(&dl[rank]), bits(&ff[rank]), "ring rank {}", rank);
         }
 
         // Dense allgather.
@@ -280,10 +235,10 @@ proptest! {
                 DenseTensor::from_vec(rows, dim, data)
             })
             .collect();
-        let (ch, sl) =
-            on_both_transports(world, &plan, |rank, ep| allgather_dense(ep, locals[rank].clone()));
+        let (dl, ff) =
+            delayed_and_fault_free(world, &plan, |rank, ep| allgather_dense(ep, locals[rank].clone()));
         for rank in 0..world {
-            prop_assert_eq!(&ch[rank], &sl[rank], "allgather rank {}", rank);
+            prop_assert_eq!(&dl[rank], &ff[rank], "allgather rank {}", rank);
         }
 
         // Sparse AlltoAllv.
@@ -299,10 +254,10 @@ proptest! {
                     .collect()
             })
             .collect();
-        let (ch, sl) =
-            on_both_transports(world, &plan, |rank, ep| alltoallv_sparse(ep, parts[rank].clone()));
+        let (dl, ff) =
+            delayed_and_fault_free(world, &plan, |rank, ep| alltoallv_sparse(ep, parts[rank].clone()));
         for rank in 0..world {
-            prop_assert_eq!(&ch[rank], &sl[rank], "alltoallv rank {}", rank);
+            prop_assert_eq!(&dl[rank], &ff[rank], "alltoallv rank {}", rank);
         }
 
         // Broadcast from rank 0.
@@ -311,7 +266,7 @@ proptest! {
             dim,
             (0..rows * dim).map(|i| i as f32 * 0.25 - 1.0).collect(),
         );
-        let (ch, sl) = on_both_transports(world, &plan, |rank, ep| {
+        let (dl, ff) = delayed_and_fault_free(world, &plan, |rank, ep| {
             let payload = (rank == 0).then(|| Packet::Dense(root_payload.share()));
             match broadcast(ep, 0, payload) {
                 Packet::Dense(d) => d,
@@ -319,7 +274,7 @@ proptest! {
             }
         });
         for rank in 0..world {
-            prop_assert_eq!(&ch[rank], &sl[rank], "broadcast rank {}", rank);
+            prop_assert_eq!(&dl[rank], &ff[rank], "broadcast rank {}", rank);
         }
 
         // Sparse-native split allreduce (SSAR), crossover mid-range so
@@ -328,15 +283,15 @@ proptest! {
             .map(|r| ssar_local(r, world, vocab, dim.min(3), 0, (&nnzs, &raw_idx, &raw_val)))
             .collect();
         let cfg = SsarConfig { vocab, crossover: 0.5 };
-        let (ch, sl) =
-            on_both_transports(world, &plan, |rank, ep| sparse_allreduce(ep, &grads[rank], &cfg));
+        let (dl, ff) =
+            delayed_and_fault_free(world, &plan, |rank, ep| sparse_allreduce(ep, &grads[rank], &cfg));
         for rank in 0..world {
             prop_assert_eq!(
-                ch[rank].is_dense(), sl[rank].is_dense(),
+                dl[rank].is_dense(), ff[rank].is_dense(),
                 "ssar representation rank {}", rank
             );
-            let (d_ch, d_sl) = (ch[rank].to_dense(vocab), sl[rank].to_dense(vocab));
-            prop_assert_eq!(bits(&d_ch.as_slice().to_vec()), bits(&d_sl.as_slice().to_vec()),
+            let (d_dl, d_ff) = (dl[rank].to_dense(vocab), ff[rank].to_dense(vocab));
+            prop_assert_eq!(bits(&d_dl.as_slice().to_vec()), bits(&d_ff.as_slice().to_vec()),
                 "ssar rank {}", rank);
         }
     }
